@@ -6,9 +6,12 @@ the cache ``run_key`` produced by the reference implementation (with the
 code fingerprint pinned to a constant so the key checks config/schema
 stability rather than source bytes).  These tests replay every point on
 the current code and assert equality — the contract that lets hot-path
-optimisations (pooled event records, the self-clocked transmit chain,
-packet free lists) land without any behavioural review: if a single
-counter, float, or key moves, the optimisation is not an optimisation.
+optimisations (the self-clocked transmit chain, packet free lists) land
+without any behavioural review: if a single counter, float, or key
+moves, the optimisation is not an optimisation.
+The ``video`` point is the one scenario that schedules events at exactly
+the current time (each frame's first packet), so it pins same-time FIFO
+order through the calendar.
 
 The full matrix replays with ``strict=False`` engines — the production
 fast path the optimisations target.  One point additionally replays
@@ -73,10 +76,14 @@ def _replay(point: Dict[str, Any]) -> Tuple[ScenarioResult, str]:
 
 def test_fixture_is_well_formed() -> None:
     assert _GOLDEN["design"] == "drop/in-band/slow-start"
-    assert len(_GOLDEN["points"]) == 6
-    scenarios = {p["scenario"] for p in _GOLDEN["points"]}
-    assert scenarios == {"basic", "high-load-flaky"}
-    assert len({p["run_key"] for p in _GOLDEN["points"]}) == 6
+    assert len(_GOLDEN["points"]) == 7
+    points = {(p["scenario"], p["seed"]) for p in _GOLDEN["points"]}
+    assert points == {
+        (name, seed)
+        for name in ("basic", "high-load-flaky")
+        for seed in (1, 2, 3)
+    } | {("video", 1)}
+    assert len({p["run_key"] for p in _GOLDEN["points"]}) == 7
 
 
 @pytest.mark.parametrize("point", _POINTS)
