@@ -161,3 +161,102 @@ def test_args_passed_through(sim):
     sim.schedule(1.0, lambda a, b, c: got.append((a, b, c)), 1, "x", None)
     sim.run()
     assert got == [(1, "x", None)]
+
+
+# -- one calendar, two drivers ------------------------------------------------
+
+
+def _mixed_calendar(sim):
+    """Seed ``sim`` with a calendar that crosses every dispatch path.
+
+    Two self-clocked chains (the second spills the first out of the chain
+    slot), a cancelled record at the heap front, same-time events
+    scheduled from inside callbacks (three scheduler entry points), ties
+    between chains and plain events, and timers cancelled mid-run.  All
+    times are exact binary fractions, so ties are real ties.  Returns the
+    list the callbacks append ``(now, tag)`` to.
+    """
+    fired = []
+
+    def note(tag):
+        fired.append((sim.now, tag))
+
+    def port(name, left):
+        note(name)
+        if left:
+            sim.call_chained(0.25, port, name, left - 1)
+
+    def burst(tag):
+        note(tag)
+        sim.call(0.0, note, tag + "/call")
+        sim.schedule(0.0, note, tag + "/schedule")
+        sim.schedule_at(sim.now, note, tag + "/schedule_at")
+
+    sim.schedule(0.0625, note, "cancelled-front").cancel()
+    sim.call_chained(0.125, port, "port-a", 5)
+    sim.call_chained(0.25, port, "port-b", 5)
+    sim.call(0.5, burst, "burst")
+    watchdog = sim.schedule(0.9375, note, "watchdog")
+    sim.call(0.375, watchdog.cancel)
+    boundary = sim.schedule(0.5625, note, "cancelled-before-boundary")
+    sim.call(0.5, boundary.cancel)
+    sim.call(1.0, note, "tie-a")
+    sim.schedule(1.0, burst, "tie-b")
+    return fired
+
+
+def _observe(sim, fired):
+    return (fired, sim.now, sim.events_processed, sim.scheduled, sim.cancellations)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_run_and_step_dispatch_the_same_calendar(strict):
+    """``run`` (across two ``until`` horizons) and a ``step`` loop agree on
+    every observable: fire order, clock, and the engine's counters."""
+    by_run = Simulator(strict=strict)
+    fired_run = _mixed_calendar(by_run)
+    by_run.run(until=0.5625)
+    assert by_run.now == 0.5625
+    by_run.run(until=1.0)
+    assert by_run.now == 1.0
+    by_run.run()
+
+    by_step = Simulator(strict=strict)
+    fired_step = _mixed_calendar(by_step)
+    while by_step.step():
+        pass
+
+    assert _observe(by_run, fired_run) == _observe(by_step, fired_step)
+    times = [t for t, _ in fired_run]
+    assert times == sorted(times)
+    tags = [tag for _, tag in fired_run]
+    assert "watchdog" not in tags
+    assert "cancelled-front" not in tags
+    assert "cancelled-before-boundary" not in tags
+    assert tags.count("port-a") == tags.count("port-b") == 6
+    assert tags[tags.index("burst"):tags.index("burst") + 5] == [
+        "burst", "port-b", "burst/call", "burst/schedule", "burst/schedule_at",
+    ]
+    assert by_run.cancellations == 3
+    assert by_run.events_processed == len(fired_run) + 2  # + 2 cancel timers
+
+
+@pytest.mark.parametrize("driver", ["run", "step"])
+def test_cancel_after_fire_changes_nothing(sim, driver):
+    """A handle whose event already fired is inert: cancelling it neither
+    reaches a later event nor counts as a cancellation."""
+    fired = []
+    handle = sim.schedule(1.0, fired.append, "first")
+    if driver == "run":
+        sim.run()
+    else:
+        assert sim.step()
+    assert not handle.alive
+    later = sim.schedule(1.0, fired.append, "later")
+    cancellations = sim.cancellations
+    handle.cancel()
+    assert not handle.alive
+    assert later.alive
+    sim.run()
+    assert fired == ["first", "later"]
+    assert sim.cancellations == cancellations
