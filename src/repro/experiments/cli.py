@@ -12,9 +12,11 @@ index (figure1..figure9, figure11, table3..table6) and prints the
 regenerated rows/series.  ``run`` and ``figure`` share the execution
 flags ``--jobs N`` (worker processes; 0 = one per CPU), ``--cache-dir``
 (the persistent result cache, default ``results/cache``), ``--no-cache``
-(disable the disk tier), ``--task-timeout``, ``--profile``
-(per-callback wall-time summary) and ``--obs-dir DIR`` (per-run obs
-artifacts plus a canonical manifest); ``run`` additionally takes
+(disable the disk tier), ``--task-timeout``, ``--profile`` (run the
+command under :mod:`cProfile` and print the top functions by self time
+to stderr; needs ``--jobs 1``, since workers are not profiled) and
+``--obs-dir DIR`` (per-run obs artifacts plus a canonical manifest);
+``run`` additionally takes
 ``--trace PATH`` / ``--metrics PATH`` / ``--timeseries PATH`` /
 ``--trace-sample CAT=N`` to dump a deterministic repro.obs event trace,
 metrics snapshot, and periodic time series (inspect with
@@ -26,11 +28,13 @@ output stays clean.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
+import pstats
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.design import (
     CongestionSignal,
@@ -39,7 +43,7 @@ from repro.core.design import (
     ProbingScheme,
     all_designs,
 )
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments import cache, figures, parallel
 from repro.experiments.runner import MbacConfig, ReplicatedResult
 from repro.experiments.scenarios import SCENARIOS, get_scenario
@@ -47,6 +51,9 @@ from repro.obs import ObsConfig
 
 #: Default directory of the persistent result cache (``--cache-dir``).
 DEFAULT_CACHE_DIR = "results/cache"
+
+#: Functions ``--profile`` lists, ranked by self time.
+PROFILE_TOP = 20
 
 #: Experiment registry for the ``figure`` subcommand.
 EXPERIMENTS = {
@@ -104,7 +111,6 @@ def _apply_execution_options(args: argparse.Namespace) -> parallel.ProgressTrack
     """
     parallel.set_jobs(args.jobs)
     parallel.set_task_timeout(getattr(args, "task_timeout", None))
-    parallel.set_profile(bool(getattr(args, "profile", False)))
     parallel.set_obs_dir(getattr(args, "obs_dir", None))
     cache.set_cache_dir(None if args.no_cache else args.cache_dir)
     tracker = parallel.stderr_tracker()
@@ -160,7 +166,7 @@ def _obs_config(args: argparse.Namespace) -> Optional[ObsConfig]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    tracker = _apply_execution_options(args)
+    _apply_execution_options(args)
     config = get_scenario(args.scenario).config(args.scale, seed=args.seed)
     obs_config = _obs_config(args)
     if obs_config is not None:
@@ -189,8 +195,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             for seed in range(args.seed, args.seed + args.seeds)
         ]
         aggregate = ReplicatedResult.aggregate(parallel.iter_run_results(tasks))
-        if getattr(args, "profile", False):
-            print(tracker.summary(), file=sys.stderr)
         print(f"controller : {aggregate.controller_name}")
         print(f"seeds      : {aggregate.seeds}")
         print(f"utilization: {aggregate.utilization:.4f}")
@@ -219,8 +223,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         samples = len((result.timeseries or {}).get("t", ()))
         print(f"timeseries : {samples} samples -> {args.timeseries}",
               file=sys.stderr)
-    if getattr(args, "profile", False):
-        print(tracker.summary(), file=sys.stderr)
     print(f"controller : {result.controller_name}")
     print(f"utilization: {result.utilization:.4f}")
     print(f"loss prob  : {result.loss_probability:.3e}")
@@ -272,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "parallel sweep presumes hung workers and "
                             "recycles the pool (default: wait forever)")
         p.add_argument("--profile", action="store_true",
-                       help="profile per-callback wall time in fresh runs "
-                            "and print the top callbacks in the summary")
+                       help="run under cProfile and print the top "
+                            f"{PROFILE_TOP} functions by self time to "
+                            "stderr (needs --jobs 1)")
         p.add_argument("--obs-dir", metavar="DIR", default=None,
                        help="export per-run obs artifacts (trace/metrics/"
                             "timeseries) plus a canonical manifest.json "
@@ -316,12 +319,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _profiled(handler: Callable[[argparse.Namespace], int],
+              args: argparse.Namespace) -> int:
+    """Run ``handler`` under :mod:`cProfile`; print the top functions.
+
+    Only this process is profiled, so a sweep that would fan out to
+    worker processes is refused rather than silently left unmeasured.
+    """
+    jobs = parallel.resolve_jobs(args.jobs)
+    if jobs > 1:
+        raise ConfigurationError(
+            "--profile measures only this process, but --jobs resolves to "
+            f"{jobs} workers; use --jobs 1"
+        )
+    profiler = cProfile.Profile()
+    status: int = profiler.runcall(handler, args)
+    stats = pstats.Stats(profiler, stream=sys.stderr)
+    stats.strip_dirs().sort_stats(pstats.SortKey.TIME).print_stats(PROFILE_TOP)
+    return status
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
     args = build_parser().parse_args(argv)
     handlers = {"list": _cmd_list, "run": _cmd_run, "figure": _cmd_figure}
+    handler = handlers[args.command]
     try:
-        return handlers[args.command](args)
+        if getattr(args, "profile", False):
+            return _profiled(handler, args)
+        return handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -69,12 +69,6 @@ from repro.errors import ConfigurationError, SweepTaskError, SweepWorkerError
 from repro.experiments import cache
 from repro.experiments.report import format_progress, format_sweep_summary
 from repro.obs.export import ObsDirWriter
-from repro.obs.profile import (
-    CallbackProfile,
-    ProfileRow,
-    format_rows,
-    merge_rows,
-)
 from repro.experiments.runner import (
     ControllerSpec,
     ReplicatedResult,
@@ -115,11 +109,6 @@ class RunEvent:
     seconds: float
     source: str
     error: str = ""
-    #: Per-callback wall-time rows (qualname, seconds, calls) when
-    #: :func:`set_profile` is on and the event is a fresh ``"run"``;
-    #: empty otherwise.  Profiles are wall-clock and nondeterministic,
-    #: which is why they ride here and never in a cached result.
-    profile: Tuple[ProfileRow, ...] = ()
 
 
 ProgressCallback = Callable[[RunEvent], None]
@@ -131,11 +120,6 @@ _configured_task_timeout: Optional[float] = None
 #: Installed in the parent before the pool spawns, it reaches workers via
 #: fork — a hook that crashes the process exercises the recovery path.
 _task_hook: Optional[Callable[[RunTask], None]] = None
-#: When True, ``_compute`` attaches a per-callback wall-time profiler to
-#: each run's engine and ships the snapshot back in the RunEvent.  Like
-#: the task hook it must be set before the pool spawns (workers inherit
-#: it via fork).
-_profile_enabled = False
 #: Directory for per-run observability artifacts (the CLI's ``--obs-dir``
 #: flag); ``None`` disables export.  Artifacts are written in the parent
 #: at yield time — task order — so serial and parallel sweeps produce
@@ -183,19 +167,6 @@ def set_task_timeout(seconds: Optional[float]) -> None:
     _configured_task_timeout = seconds
 
 
-def set_profile(enabled: bool) -> None:
-    """Turn per-callback wall-time profiling of sweep runs on or off.
-
-    The CLI's ``--profile`` flag calls this.  Profiling swaps the engine
-    onto a clock-sampling dispatch loop (see
-    :meth:`repro.sim.engine.Simulator.enable_profiling`), so fresh runs
-    get slower; cached results are unaffected (and carry no profile).
-    Set it *before* a sweep starts so forked workers inherit it.
-    """
-    global _profile_enabled
-    _profile_enabled = bool(enabled)
-
-
 def set_obs_dir(path: Optional[str]) -> None:
     """Export per-run obs artifacts of every sweep to ``path`` (None: off).
 
@@ -239,22 +210,14 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def _compute(task: RunTask) -> Tuple[ScenarioResult, float, Tuple[ProfileRow, ...]]:
-    """Worker entry point: run one task, timing it (picklable top-level).
-
-    The clock injection happens here: this module is on the DET002/XMOD003
-    exemption list, so it may hand ``time.perf_counter`` to the profile;
-    the engine itself never imports :mod:`time`.
-    """
+def _compute(task: RunTask) -> Tuple[ScenarioResult, float]:
+    """Worker entry point: run one task, timing it (picklable top-level)."""
     hook = _task_hook
     if hook is not None:
         hook(task)
-    profile = CallbackProfile(time.perf_counter) if _profile_enabled else None
     start = time.perf_counter()
-    result = run_scenario(task[0], task[1], profile=profile)
-    seconds = time.perf_counter() - start
-    rows = profile.snapshot() if profile is not None else ()
-    return result, seconds, rows
+    result = run_scenario(task[0], task[1])
+    return result, time.perf_counter() - start
 
 
 def _emit(
@@ -265,7 +228,6 @@ def _emit(
     seconds: float,
     source: str,
     error: str = "",
-    profile: Tuple[ProfileRow, ...] = (),
 ) -> None:
     if progress is not None:
         progress(RunEvent(
@@ -276,7 +238,6 @@ def _emit(
             seconds=seconds,
             source=source,
             error=error,
-            profile=profile,
         ))
 
 
@@ -396,11 +357,11 @@ def _iter_task_results(
         if result is None:
             task = task_list[i]
             try:
-                result, seconds, rows = _compute(task)
+                result, seconds = _compute(task)
             except Exception as exc:
                 raise _task_error(progress, i, total, task, exc) from exc
             cache.store(task[0], task[1], result)
-            _emit(progress, i, total, task, seconds, "run", profile=rows)
+            _emit(progress, i, total, task, seconds, "run")
         yield result
 
 
@@ -415,11 +376,11 @@ def _serial_fill(
     for i in indices:
         task = task_list[i]
         try:
-            result, seconds, rows = _compute(task)
+            result, seconds = _compute(task)
         except Exception as exc:
             raise _task_error(progress, i, total, task, exc) from exc
         cache.store(task[0], task[1], result)
-        _emit(progress, i, total, task, seconds, "run", profile=rows)
+        _emit(progress, i, total, task, seconds, "run")
         ready[i] = result
 
 
@@ -484,14 +445,14 @@ def _pool_results(
                     i = futures[future]
                     task = task_list[i]
                     try:
-                        result, seconds, rows = future.result()
+                        result, seconds = future.result()
                     except BrokenExecutor:
                         broken = True
                         continue  # keep harvesting this batch's successes
                     except Exception as exc:
                         raise _task_error(progress, i, total, task, exc) from exc
                     cache.store(task[0], task[1], result)
-                    _emit(progress, i, total, task, seconds, "run", profile=rows)
+                    _emit(progress, i, total, task, seconds, "run")
                     ready[i] = result
                 while next_index < total and next_index in ready:
                     yield ready.pop(next_index)
@@ -612,16 +573,12 @@ class ProgressTracker:
         self.failures = 0
         self.retries = 0
         self.run_seconds = 0.0
-        #: Per-callback wall time folded from every profiled RunEvent.
-        self.profile: Dict[str, Tuple[float, int]] = {}
         self._started = time.perf_counter()
 
     def __call__(self, event: RunEvent) -> None:
         if event.source == "run":
             self.computed += 1
             self.run_seconds += event.seconds
-            if event.profile:
-                merge_rows(self.profile, event.profile)
         elif event.source == "memo":
             self.memo_hits += 1
         elif event.source == "disk":
@@ -650,8 +607,6 @@ class ProgressTracker:
         )
         if self.retries or self.failures:
             line += f" ({self.retries} retries, {self.failures} failures)"
-        if self.profile:
-            line += f"\nprofile (top callbacks): {format_rows(self.profile)}"
         return line
 
 

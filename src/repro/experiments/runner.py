@@ -31,7 +31,7 @@ from repro.obs.config import ObsConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.trace import TraceRecorder
-from repro.sim.engine import ProfileSink, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.traffic.catalog import get_source_spec
 from repro.traffic.flowgen import FlowClass, FlowGenerator, FlowRequest
@@ -226,21 +226,14 @@ def _prefill(
 def run_scenario(
     config: ScenarioConfig,
     design: ControllerSpec = None,
-    profile: Optional[ProfileSink] = None,
 ) -> ScenarioResult:
     """Run one scenario under one admission controller.
 
     ``design`` may be an :class:`EndpointDesign`, an :class:`MbacConfig`,
-    or ``None`` (no admission control).  ``profile`` installs a
-    per-callback wall-time profiler on the engine; it must come from
-    harness code with an injected clock (see
-    :class:`repro.sim.engine.ProfileSink`) and its results never enter
-    the returned (cacheable) result.
+    or ``None`` (no admission control).
     """
     sim = Simulator()
     streams = RandomStreams(config.seed)
-    if profile is not None:
-        sim.enable_profiling(profile)
 
     obs = config.obs
     recorder: Optional[TraceRecorder] = None

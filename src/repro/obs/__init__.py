@@ -1,6 +1,6 @@
-"""Deterministic observability: metrics, event tracing, profiling.
+"""Deterministic observability: metrics and event tracing.
 
-Three instruments, three domains (DESIGN.md §13):
+Two instruments (DESIGN.md §13):
 
 * **Metrics** (:mod:`repro.obs.metrics`) — counters/gauges/histograms
   with label sets, mostly *harvested* after the run from counters the
@@ -9,9 +9,10 @@ Three instruments, three domains (DESIGN.md §13):
 * **Tracing** (:mod:`repro.obs.trace`) — sim-time-stamped JSONL records
   with per-category deterministic sampling, byte-identical across runs
   and ``--jobs``.  Deterministic: part of ``ScenarioResult``.
-* **Profiling** (:mod:`repro.obs.profile`) — per-callback wall time with
-  an *injected* clock, harness domain only.  Nondeterministic: rides in
-  progress events, never in cached results.
+
+Wall-clock profiling is not an instrument here: ``repro-eac --profile``
+runs the command under the standard library's :mod:`cProfile` in the
+CLI process.
 
 Three derived views build on those instruments (DESIGN.md §14):
 
@@ -40,7 +41,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profile import CallbackProfile
 from repro.obs.spans import FlowSpan, assemble_spans, span_counts
 from repro.obs.timeseries import TIMESERIES_SCHEMA_VERSION, TimeSeriesSampler
 from repro.obs.trace import (
@@ -61,7 +61,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "CallbackProfile",
     "FlowSpan",
     "assemble_spans",
     "span_counts",

@@ -3,13 +3,13 @@
 Each benchmark is a function ``(name, rounds, scale) -> BenchResult`` and
 exercises one layer of the fast path described in DESIGN.md §11:
 
-* ``engine-events`` — raw timer dispatch through the heap lane;
+* ``engine-events`` — raw timer dispatch through the heap;
 * ``packet-chain`` — the packet-transmission chain: an output port
   draining queued backlogs through the engine's chain slot while a few
   thousand background timers keep the calendar deep (the situation of a
   real sweep, where every saved heap operation is O(log n));
 * ``cancel-churn`` — schedule/cancel at the ratio a probe-heavy sweep
-  produces, exercising the cancelled-record free list and heap compaction;
+  produces, exercising lazy cancellation and heap compaction;
 * ``scenario-basic`` / ``scenario-high-load-flaky`` — end-to-end runs of
   the two representative scenarios at a small scale;
 * ``scenario-basic-traced`` — the basic scenario with the ``repro.obs``

@@ -11,28 +11,21 @@ of every experiment, so it favors plain data structures over abstraction:
 * callbacks receive their pre-bound positional arguments, avoiding closure
   allocation in inner loops.
 
-Three fast paths keep per-event constant costs down without changing
-dispatch order (DESIGN.md §11 gives the invariants):
+Two lanes hold pending events: the heap and the **chain slot**.  One
+dispatch loop, shared by :meth:`Simulator.run` and :meth:`Simulator.step`,
+picks the earlier of the two fronts on the same (time, seq) key (DESIGN.md
+§11 gives the invariants).  :meth:`Simulator.call_chained` parks the
+*expected next* event of a self-clocked component (an output port
+serializing a queue backlog) in four scalar slots (time, seq, callback,
+args) rather than a record: a chained event cannot be cancelled, so it
+needs no ``alive`` flag and no record at all.  While the chain stays the
+earliest pending event it is dispatched straight from the slots — zero
+heap operations and zero record traffic per link — and it simply waits
+(still in correct (time, seq) order) whenever another event is due sooner.
 
-* **record free list** — cancelled (and step-dispatched) records are
-  recycled into the next ``schedule``/``schedule_at`` instead of being
-  left to the garbage collector; handles remember their record's ``seq``
-  so a recycled record can never be cancelled through a stale handle.
-  The handle-less ``call`` builds records fresh: CPython's internal
-  small-list freelist makes construction cheaper than reinitialising a
-  recycled record, so recycling is reserved for the cancellation-heavy
-  timer paths where it pays (bulk GC pressure, not construction cost);
-* **head lane** — events scheduled for exactly the current time bypass the
-  heap into a FIFO deque (its records are sorted by construction: time is
-  the non-decreasing clock, ``seq`` increases);
-* **chain slot** — :meth:`call_chained` parks the *expected next* event of
-  a self-clocked component (an output port serializing a queue backlog) in
-  four scalar slots (time, seq, callback, args) rather than a record: a
-  chained event cannot be cancelled, so it needs no ``alive`` flag and no
-  record at all.  While the chain stays the earliest pending event it is
-  dispatched straight from the slots — zero heap operations and zero
-  record traffic per link — and it simply waits (still in correct
-  (time, seq) order) whenever another event is due sooner.
+Events due at exactly the current time go to the heap like any other: the
+increasing ``seq`` keeps them FIFO.  Records are never reused, so a handle
+needs nothing but its record's ``alive`` flag.
 
 Event times are validated at scheduling time: a NaN deadline compares False
 against every bound (``when < self.now`` never fires), so without the check
@@ -61,8 +54,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Protocol
+from typing import Any, Callable, List, Optional, Protocol
 
 from repro.errors import SimulationError
 
@@ -82,33 +74,13 @@ class TraceSink(Protocol):
         ...
 
 
-class ProfileSink(Protocol):
-    """Structural interface for per-callback wall-time profiling.
 
-    The clock is *injected* by the harness (``repro.experiments.parallel``
-    passes ``time.perf_counter``): the engine never imports :mod:`time`, so
-    the wall-clock read originates in an exempt harness module and the
-    ``repro.lint --graph`` XMOD003 gate stays clean (DESIGN.md §13).
-    """
-
-    clock: Callable[[], float]
-
-    def record(self, key: str, seconds: float) -> None:
-        """Accumulate ``seconds`` of wall time against callback ``key``."""
-        ...
-
-# Index constants for the event record; kept module-private.  ``step`` and
-# ``run`` share the pop-skip-cancelled pattern through these constants so the
-# two dispatch loops cannot drift apart.
+# Index constants for the event record; kept module-private.
 _TIME, _SEQ, _FN, _ARGS, _ALIVE = 0, 1, 2, 3, 4
 
 #: Minimum number of cancelled records before the engine considers
 #: compacting the heap (avoids rebuilding tiny calendars).
 _COMPACT_MIN = 512
-
-#: Upper bound on recycled event records kept for reuse; beyond this the
-#: records are simply dropped for the garbage collector.
-_FREE_MAX = 256
 
 #: Process-wide default for ``Simulator(strict=None)``; see
 #: :func:`set_strict_default`.
@@ -140,41 +112,32 @@ class EventHandle:
     Cancellation is lazy: the record stays in the heap but is skipped when
     popped.  This makes cancel O(1) at the cost of a little heap garbage,
     which is the right trade-off for timers that are usually *not* cancelled.
-
-    The handle snapshots its record's ``seq`` (and fire time): once the
-    event has dispatched, its record may be recycled for an unrelated
-    future event, and the ``seq`` mismatch is what keeps a stale handle's
-    :meth:`cancel` from reaching through to the new occupant.
+    Records are never reused, so the record's ``alive`` flag is the whole
+    state: dispatch clears it, and a cancel after the event fired is a no-op.
     """
 
-    __slots__ = ("_record", "_seq", "_time", "_sim")
+    __slots__ = ("_record", "_sim")
 
-    def __init__(
-        self, record: List[Any], seq: int, sim: Optional["Simulator"] = None
-    ) -> None:
+    def __init__(self, record: List[Any], sim: "Simulator") -> None:
         self._record = record
-        self._seq = seq
-        self._time = record[_TIME]
         self._sim = sim
 
     @property
     def time(self) -> float:
         """Absolute simulation time at which the event will fire."""
-        return float(self._time)
+        return float(self._record[_TIME])
 
     @property
     def alive(self) -> bool:
         """True while the event is still pending (not cancelled, not fired)."""
-        record = self._record
-        return record[_SEQ] == self._seq and bool(record[_ALIVE])
+        return bool(self._record[_ALIVE])
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Cancelling twice is harmless."""
         record = self._record
-        if record[_SEQ] == self._seq and record[_ALIVE]:
+        if record[_ALIVE]:
             record[_ALIVE] = False
-            if self._sim is not None:
-                self._sim._note_cancelled()
+            self._sim._note_cancelled()
 
 
 class Simulator:
@@ -197,10 +160,10 @@ class Simulator:
         something (e.g. the test suite) turned it on.
     """
 
-    __slots__ = ("now", "strict", "trace", "_heap", "_head", "_free",
+    __slots__ = ("now", "strict", "trace", "_heap",
                  "_chain_time", "_chain_seq", "_chain_fn", "_chain_args",
                  "_seq", "_stopped", "_events_processed", "_cancelled",
-                 "_cancel_total", "_compactions", "_profile")
+                 "_cancel_total", "_compactions")
 
     def __init__(self, strict: Optional[bool] = None) -> None:
         self.now: float = 0.0
@@ -208,11 +171,7 @@ class Simulator:
         #: Optional event-trace recorder (``repro.obs``); the engine only
         #: touches it on the rare compaction path, never per event.
         self.trace: Optional[TraceSink] = None
-        self._profile: Optional[ProfileSink] = None
         self._heap: List[List[Any]] = []
-        #: FIFO lane for events scheduled at exactly the current time;
-        #: sorted by (time, seq) by construction.
-        self._head: Deque[List[Any]] = deque()
         #: The chain slot (see call_chained) is four scalar slots rather
         #: than an event record: chained events cannot be cancelled, so
         #: they need no ``alive`` flag, no handle, and no record traffic
@@ -222,8 +181,6 @@ class Simulator:
         self._chain_seq: int = 0
         self._chain_fn: Optional[Callable[..., Any]] = None
         self._chain_args: Any = ()
-        #: Recycled event records awaiting reuse.
-        self._free: List[List[Any]] = []
         self._seq: int = 0
         self._stopped: bool = False
         self._events_processed: int = 0
@@ -232,18 +189,6 @@ class Simulator:
         self._compactions: int = 0
 
     # -- scheduling -----------------------------------------------------
-
-    # NOTE: the three schedulers repeat the free-list pop + reinitialise
-    # sequence inline rather than sharing an ``_acquire`` helper: they are
-    # called once per event, and a Python-level call per schedule is the
-    # single biggest constant the profile shows on the datapath.
-
-    def _release(self, record: List[Any]) -> None:
-        """Recycle a dead record (drop callback refs so nothing is pinned)."""
-        free = self._free
-        if len(free) < _FREE_MAX:
-            record[_FN] = record[_ARGS] = None
-            free.append(record)
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
@@ -269,28 +214,20 @@ class Simulator:
         if when == math.inf:
             raise SimulationError(f"cannot schedule at non-finite time {when!r}")
         self._seq += 1
-        record = [when, self._seq, fn, args, True]
-        if when > self.now:
-            heapq.heappush(self._heap, record)
-        else:
-            # schedule_at_head: ``when >= now`` already held above, so the
-            # else-branch means "exactly now" — the event sorts after every
-            # pending same-time event (largest seq) and before everything
-            # later, and a FIFO sidesteps the heap entirely.
-            self._head.append(record)
+        heapq.heappush(self._heap, [when, self._seq, fn, args, True])
 
     def call_chained(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule the next link of a self-clocked event chain.
 
         Semantically identical to :meth:`call`; the event is parked in a
         one-deep scalar slot instead of the heap.  The dispatch loop
-        compares the slot against the heap and head-lane fronts, so when
-        the chained event is the earliest pending event — the common case
-        for an output port draining its backlog — it dispatches straight
-        from the slot with zero heap operations and no event record.  The
-        slot only spills into the heap (as an ordinary record) when a
-        second chain claims it.  Chained events cannot be cancelled;
-        guard in the callback instead.
+        compares the slot against the heap front, so when the chained
+        event is the earliest pending event — the common case for an
+        output port draining its backlog — it dispatches straight from the
+        slot with zero heap operations and no event record.  The slot only
+        spills into the heap (as an ordinary record) when a second chain
+        claims it.  Chained events cannot be cancelled; guard in the
+        callback instead.
         """
         if not (delay >= 0):
             if math.isnan(delay):
@@ -323,89 +260,11 @@ class Simulator:
         if when == math.inf:
             raise SimulationError(f"cannot schedule at non-finite time {when!r}")
         self._seq += 1
-        free = self._free
-        if free:
-            record = free.pop()
-            record[_TIME] = when
-            record[_SEQ] = self._seq
-            record[_FN] = fn
-            record[_ARGS] = args
-            record[_ALIVE] = True
-        else:
-            record = [when, self._seq, fn, args, True]
-        if when > self.now:
-            heapq.heappush(self._heap, record)
-        else:
-            # The head lane again: ``when`` equals the current time.
-            self._head.append(record)
-        return EventHandle(record, self._seq, self)
+        record = [when, self._seq, fn, args, True]
+        heapq.heappush(self._heap, record)
+        return EventHandle(record, self)
 
     # -- execution ------------------------------------------------------
-
-    def _pop_live(self) -> Optional[List[Any]]:
-        """Pop the next live record across the three lanes.
-
-        The readable implementation of the three-lane pop-skip-cancelled
-        pattern (``run`` unrolls the same logic; the golden tests pin the
-        two loops together): the earliest of the heap front, the head-lane
-        front, and the chain slot wins.  Record comparison is (time, seq)
-        lexicographic — ``seq`` is unique, so list comparison never reaches
-        the callback fields — and the scalar chain slot is compared on the
-        same key.  A winning chain is materialized into an ordinary record
-        so :meth:`_dispatch` handles all three lanes identically.
-        """
-        heap = self._heap
-        head = self._head
-        pop = heapq.heappop
-        cancelled = self._cancelled
-        while True:
-            record: Optional[List[Any]] = heap[0] if heap else None
-            lane = 1
-            if head and (record is None or head[0] < record):
-                record = head[0]
-                lane = 2
-            chain_fn = self._chain_fn
-            if chain_fn is not None:
-                chain_time = self._chain_time
-                chain_seq = self._chain_seq
-                if (
-                    record is None
-                    or chain_time < record[_TIME]
-                    or (chain_time == record[_TIME] and chain_seq < record[_SEQ])
-                ):
-                    chain_args = self._chain_args
-                    self._chain_fn = None
-                    self._chain_args = ()
-                    self._cancelled = max(0, cancelled)
-                    return [chain_time, chain_seq, chain_fn, chain_args, True]
-            if record is None:
-                break
-            if lane == 1:
-                pop(heap)
-            else:
-                head.popleft()
-            if record[_ALIVE]:
-                self._cancelled = max(0, cancelled)
-                return record
-            cancelled -= 1
-            self._release(record)
-        self._cancelled = max(0, cancelled)
-        return None
-
-    def _dispatch(self, record: List[Any]) -> None:
-        """Advance the clock to ``record``, recycle it, and fire its callback."""
-        when = record[_TIME]
-        if self.strict:
-            self._validate_dispatch(when)
-        if self._cancelled >= _COMPACT_MIN and self._cancelled > len(self._heap) // 2:
-            self._compact()
-        record[_ALIVE] = False
-        self.now = when
-        self._events_processed += 1
-        fn = record[_FN]
-        args = record[_ARGS]
-        self._release(record)
-        fn(*args)
 
     def _validate_dispatch(self, when: float) -> None:
         """Strict-mode checks on the event about to fire."""
@@ -426,18 +285,13 @@ class Simulator:
         self._cancel_total += 1
 
     def _compact(self) -> None:
-        """Rebuild the heap without cancelled records, recycling them.
+        """Rebuild the heap without cancelled records.
 
-        The rebuild is in place (slice assignment) so that :meth:`run`'s
+        The rebuild is in place (slice assignment) so that :meth:`_loop`'s
         local alias of the heap list stays valid across a compaction.
         """
         heap = self._heap
-        live = []
-        for record in heap:
-            if record[_ALIVE]:
-                live.append(record)
-            else:
-                self._release(record)
+        live = [record for record in heap if record[_ALIVE]]
         freed = len(heap) - len(live)
         heap[:] = live
         heapq.heapify(heap)
@@ -448,106 +302,58 @@ class Simulator:
             tr.emit("sim", self.now, event="compact",
                     freed=freed, live=len(live))
 
-    def step(self) -> bool:
-        """Run the single next pending event.
+    def _loop(self, until: Optional[float], once: bool) -> bool:
+        """Dispatch events in (time, seq) order: the one loop behind
+        :meth:`run` and :meth:`step`.
 
-        Returns True if an event ran, False if the calendar is empty.
+        Stops when the calendar drains, :meth:`stop` is called, the next
+        event is due strictly after ``until``, or — with ``once`` — after
+        the first dispatch.  Returns True iff ``once`` and an event fired.
+        The chain slot is compared to the heap front on the same
+        (time, seq) key; ``seq`` is unique, so the order is total.
         """
-        record = self._pop_live()
-        if record is None:
-            return False
-        self._dispatch(record)
-        return True
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Run events in time order.
-
-        Parameters
-        ----------
-        until:
-            If given, stop once the next event would fire strictly after
-            ``until`` and advance the clock to exactly ``until``.  If omitted,
-            run until the calendar drains or :meth:`stop` is called.
-
-        Notes
-        -----
-        The loop body is :meth:`_pop_live` + :meth:`_dispatch` unrolled by
-        hand: at millions of events per sweep the two Python-level calls per
-        event are the dominant constant, so the hot loop pays for neither.
-        :meth:`step` keeps the readable helper-based form; the golden
-        byte-identity tests (``tests/unit/test_golden_identity.py``) and the
-        engine unit tests pin the two forms to identical observable behavior.
-        """
-        if self._profile is not None:
-            # Profiling replaces the unrolled loop wholesale so the
-            # production path below pays nothing — not even a per-event
-            # branch — when profiling is off.
-            self._run_profiled(until)
-            return
         self._stopped = False
         heap = self._heap  # _compact mutates in place, so the alias holds
-        head = self._head
-        free = self._free
         pop = heapq.heappop
         while not self._stopped:
             chain_fn = self._chain_fn
-            if chain_fn is None and not head:
-                # Hot case: only the heap is occupied — straight pop, no
-                # lane comparisons at all.
-                if not heap:
-                    break
-                record: Optional[List[Any]] = pop(heap)
-            else:
-                # -- select the earliest event across the three lanes ----
-                record = heap[0] if heap else None
-                lane = 1
-                if head and (record is None or head[0] < record):
-                    record = head[0]
-                    lane = 2
-                if chain_fn is not None:
-                    when = self._chain_time
-                    if (
-                        record is None
-                        or when < record[_TIME]
-                        or (when == record[_TIME]
-                            and self._chain_seq < record[_SEQ])
-                    ):
-                        # The chain is due next: dispatch straight from the
-                        # slot — no record, no heap op, no free-list
-                        # traffic.  (The compaction check is skipped here;
-                        # garbage only accumulates through the record
-                        # lanes, whose dispatch below still bounds it.)
-                        if until is not None and when > until:
-                            break  # not yet due; it simply stays parked
-                        if self.strict:
-                            self._validate_dispatch(when)
-                        args = self._chain_args
-                        self._chain_fn = None
-                        self._chain_args = ()
-                        self.now = when
-                        self._events_processed += 1
-                        chain_fn(*args)
-                        continue
-                if record is None:
-                    break
-                if lane == 1:
-                    pop(heap)
-                else:
-                    head.popleft()
+            if chain_fn is not None:
+                when = self._chain_time
+                front = heap[0] if heap else None
+                if (
+                    front is None
+                    or when < front[_TIME]
+                    or (when == front[_TIME] and self._chain_seq < front[_SEQ])
+                ):
+                    # The chain is due next: dispatch straight from the
+                    # slot — no record, no heap op.  (The compaction check
+                    # is skipped here; garbage only accumulates in the
+                    # heap, whose dispatch below still bounds it.)
+                    if until is not None and when > until:
+                        break  # not yet due; it simply stays parked
+                    if self.strict:
+                        self._validate_dispatch(when)
+                    args = self._chain_args
+                    self._chain_fn = None
+                    self._chain_args = ()
+                    self.now = when
+                    self._events_processed += 1
+                    chain_fn(*args)
+                    if once:
+                        return True
+                    continue
+            if not heap:
+                break
+            record = pop(heap)
             if not record[_ALIVE]:
-                # Cancelled garbage: recycle the record and keep popping.
+                # Cancelled garbage: drop it and keep popping.
                 cancelled = self._cancelled
                 if cancelled > 0:
                     self._cancelled = cancelled - 1
-                if len(free) < _FREE_MAX:
-                    record[_FN] = record[_ARGS] = None
-                    free.append(record)
                 continue
-            # -- dispatch ------------------------------------------------
             when = record[_TIME]
             if until is not None and when > until:
-                # Not yet due: put it back and stop.  The heap is correct
-                # for records from any lane — ordering is (time, seq).
+                # Not yet due: put it back and stop.
                 heapq.heappush(heap, record)
                 break
             if self.strict:
@@ -558,67 +364,31 @@ class Simulator:
             record[_ALIVE] = False
             self.now = when
             self._events_processed += 1
-            # Dispatched records are *not* recycled here: CPython's own
-            # small-list freelist makes a fresh ``[when, seq, fn, args,
-            # True]`` cheaper than a reinitialise, so the free list is fed
-            # by the cancelled-skip path above (where records arrive in
-            # bulk) and consumed by the handle-returning schedulers.
-            fn = record[_FN]
-            args = record[_ARGS]
-            fn(*args)
+            record[_FN](*record[_ARGS])
+            if once:
+                return True
+        return False
+
+    def step(self) -> bool:
+        """Run the single next pending event.
+
+        Returns True if an event ran, False if the calendar is empty.
+        """
+        return self._loop(None, True)
+
+    def run(self, until: Optional[float] = None) -> None:
+        """Run events in time order.
+
+        Parameters
+        ----------
+        until:
+            If given, stop once the next event would fire strictly after
+            ``until`` and advance the clock to exactly ``until``.  If omitted,
+            run until the calendar drains or :meth:`stop` is called.
+        """
+        self._loop(until, False)
         if until is not None and self.now < until and not self._stopped:
             self.now = until
-
-    def _run_profiled(self, until: Optional[float]) -> None:
-        """The :meth:`run` loop with per-callback wall-time accounting.
-
-        Built from the readable :meth:`_pop_live` helper (the golden tests
-        pin it to ``run``'s unrolled form), with the injected clock sampled
-        around every callback.  Dispatch order, clock advancement, and the
-        ``until`` push-back semantics are identical to :meth:`run`; the only
-        difference is that a not-yet-due *chained* event is materialized
-        into the heap rather than left parked — an internal-representation
-        difference with no observable effect (ordering is (time, seq)).
-        """
-        profile = self._profile
-        assert profile is not None
-        clock = profile.clock
-        record_cb = profile.record
-        self._stopped = False
-        while not self._stopped:
-            record = self._pop_live()
-            if record is None:
-                break
-            when = record[_TIME]
-            if until is not None and when > until:
-                heapq.heappush(self._heap, record)
-                break
-            if self.strict:
-                self._validate_dispatch(when)
-            if self._cancelled >= _COMPACT_MIN and self._cancelled > len(self._heap) // 2:
-                self._compact()
-            record[_ALIVE] = False
-            self.now = when
-            self._events_processed += 1
-            fn = record[_FN]
-            args = record[_ARGS]
-            self._release(record)
-            key = getattr(fn, "__qualname__", None) or repr(fn)
-            start = clock()
-            fn(*args)
-            record_cb(key, clock() - start)
-        if until is not None and self.now < until and not self._stopped:
-            self.now = until
-
-    def enable_profiling(self, profile: Optional[ProfileSink]) -> None:
-        """Install (or, with ``None``, remove) a per-callback profiler.
-
-        The profiler's clock must be injected by harness code (see
-        :class:`ProfileSink`); results are wall-clock and therefore live
-        outside the deterministic result set — they ride in progress
-        events, never in cached :class:`ScenarioResult` payloads.
-        """
-        self._profile = profile
 
     def stop(self) -> None:
         """Halt :meth:`run` after the currently executing event returns."""
@@ -630,7 +400,6 @@ class Simulator:
     def pending(self) -> int:
         """Number of events still pending (excluding cancelled garbage)."""
         count = sum(1 for record in self._heap if record[_ALIVE])
-        count += sum(1 for record in self._head if record[_ALIVE])
         if self._chain_fn is not None:
             count += 1
         return count
@@ -642,8 +411,8 @@ class Simulator:
 
     @property
     def garbage_ratio(self) -> float:
-        """Fraction of the calendar occupied by cancelled-but-unpopped records."""
-        size = len(self._heap) + len(self._head)
+        """Fraction of the heap occupied by cancelled-but-unpopped records."""
+        size = len(self._heap)
         if size == 0:
             return 0.0
         return self._cancelled / size
@@ -655,7 +424,7 @@ class Simulator:
 
     @property
     def scheduled(self) -> int:
-        """Total number of events ever scheduled (all three lanes)."""
+        """Total number of events ever scheduled (both lanes)."""
         return self._seq
 
     @property
@@ -667,8 +436,3 @@ class Simulator:
         since been popped or compacted away.
         """
         return self._cancel_total
-
-    @property
-    def profile(self) -> Optional[ProfileSink]:
-        """The installed profiler, if any (see :meth:`enable_profiling`)."""
-        return self._profile

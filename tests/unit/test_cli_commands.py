@@ -1,8 +1,13 @@
-"""Unit tests for CLI command handlers (simulation calls stubbed)."""
+"""Unit tests for CLI command handlers.
+
+Simulation calls are stubbed, except in the ``--profile`` tests, which
+need a real run to profile.
+"""
 
 import pytest
 
 import repro.experiments.cli as cli
+from repro.experiments import cache, scenarios
 from repro.experiments.runner import MbacConfig, ScenarioResult
 
 
@@ -79,3 +84,45 @@ def test_figure_command_uses_registry(monkeypatch, capsys):
     assert cli.main(["figure", "figure2", "--scale", "0.02"]) == 0
     assert calls == [0.02]
     assert "FAKE FIGURE TEXT" in capsys.readouterr().out
+
+
+# -- --profile: cProfile around the command, this process only --------------
+
+_TINY_RUN = ["run", "basic", "--design", "drop/in-band", "--scale", "0.0001",
+             "--no-cache", "--jobs", "1"]
+
+
+@pytest.fixture
+def tiny_fresh_runs(monkeypatch):
+    """Make ``_TINY_RUN`` a real but short simulation.
+
+    The warm-up floor drops from 120 to 10 simulated seconds, and the
+    in-process memo tier is swapped for an empty one, so every invocation
+    simulates instead of replaying an earlier test's result.
+    """
+    monkeypatch.setattr(scenarios, "MIN_WARMUP", 10.0)
+    monkeypatch.setattr(cache, "_MEMO", {})
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+
+
+def test_profile_prints_self_time_rows(capsys, tiny_fresh_runs):
+    assert cli.main(_TINY_RUN + ["--profile"]) == 0
+    err = capsys.readouterr().err
+    assert "Ordered by: internal time" in err
+    assert "(_tx_done)" in err
+
+
+def test_profile_leaves_stdout_unchanged(monkeypatch, capsys, tiny_fresh_runs):
+    assert cli.main(_TINY_RUN) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setattr(cache, "_MEMO", {})
+    assert cli.main(_TINY_RUN + ["--profile"]) == 0
+    assert capsys.readouterr().out == plain
+    assert "utilization:" in plain
+
+
+def test_profile_refuses_worker_processes(capsys, tiny_fresh_runs):
+    assert cli.main(["run", "basic", "--profile", "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "--profile" in err
+    assert "--jobs" in err

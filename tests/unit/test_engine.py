@@ -169,12 +169,13 @@ def test_args_passed_through(sim):
 def _mixed_calendar(sim):
     """Seed ``sim`` with a calendar that crosses every dispatch path.
 
-    Two self-clocked chains (the second spills the first out of the chain
-    slot), a cancelled record at the heap front, same-time events
-    scheduled from inside callbacks (three scheduler entry points), ties
-    between chains and plain events, and timers cancelled mid-run.  All
-    times are exact binary fractions, so ties are real ties.  Returns the
-    list the callbacks append ``(now, tag)`` to.
+    Two self-clocked chains (each re-arm spills the other out of the
+    chain slot until ``port-b`` ends), a cancelled record at the heap
+    front, same-time events scheduled from inside callbacks (three
+    scheduler entry points), ties between a parked chain and heap
+    records, and timers cancelled mid-run.  All times are exact binary
+    fractions, so ties are real ties.  Returns the list the callbacks
+    append ``(now, tag)`` to.
     """
     fired = []
 
@@ -194,12 +195,13 @@ def _mixed_calendar(sim):
 
     sim.schedule(0.0625, note, "cancelled-front").cancel()
     sim.call_chained(0.125, port, "port-a", 5)
-    sim.call_chained(0.25, port, "port-b", 5)
+    sim.call_chained(0.25, port, "port-b", 1)
     sim.call(0.5, burst, "burst")
     watchdog = sim.schedule(0.9375, note, "watchdog")
     sim.call(0.375, watchdog.cancel)
     boundary = sim.schedule(0.5625, note, "cancelled-before-boundary")
     sim.call(0.5, boundary.cancel)
+    sim.call(0.875, note, "before-chain")  # older seq than port-a's link
     sim.call(1.0, note, "tie-a")
     sim.schedule(1.0, burst, "tie-b")
     return fired
@@ -233,7 +235,9 @@ def test_run_and_step_dispatch_the_same_calendar(strict):
     assert "watchdog" not in tags
     assert "cancelled-front" not in tags
     assert "cancelled-before-boundary" not in tags
-    assert tags.count("port-a") == tags.count("port-b") == 6
+    assert tags.count("port-a") == 6
+    assert tags.count("port-b") == 2
+    assert fired_run[tags.index("before-chain") + 1] == (0.875, "port-a")
     assert tags[tags.index("burst"):tags.index("burst") + 5] == [
         "burst", "port-b", "burst/call", "burst/schedule", "burst/schedule_at",
     ]

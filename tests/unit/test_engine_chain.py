@@ -127,12 +127,12 @@ def test_chain_interleaves_with_head_lane(sim):
 
     def first():
         sim.call_chained(0.0, fired.append, "chain")  # seq N
-        sim.call(0.0, fired.append, "head")           # seq N+1
+        sim.call(0.0, fired.append, "now")            # seq N+1
         fired.append("first")
 
     sim.call(1.0, first)
     sim.run()
-    assert fired == ["first", "chain", "head"]
+    assert fired == ["first", "chain", "now"]
 
 
 def test_chain_validation_rejects_bad_delays(sim):

@@ -254,11 +254,11 @@ def test_step_skips_cancelled_and_fires_next(sim):
     assert sim.step() is False
 
 
-def test_run_until_with_cancelled_head(sim):
+def test_run_until_with_cancelled_front(sim):
     fired = []
-    head = sim.schedule(1.0, fired.append, "head")
+    front = sim.schedule(1.0, fired.append, "front")
     sim.schedule(5.0, fired.append, "later")
-    head.cancel()
+    front.cancel()
     sim.run(until=2.0)
     assert fired == []
     assert sim.now == 2.0

@@ -2,9 +2,7 @@
 
 Covers the observability config's validation, the trace recorder's
 deterministic sampling/filtering/capping contract, the metrics registry's
-canonical snapshot, the injected-clock callback profile, and the engine's
-trace/profile protocol hooks (including the profiled loop's exact
-equivalence to the unprofiled fast path).
+canonical snapshot, and the engine's trace hooks and work counters.
 """
 
 import json
@@ -14,7 +12,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs import (
     KNOWN_CATEGORIES,
-    CallbackProfile,
     Counter,
     Gauge,
     Histogram,
@@ -23,7 +20,6 @@ from repro.obs import (
     TraceRecorder,
     parse_lines,
 )
-from repro.obs.profile import format_rows, merge_rows
 from repro.sim.engine import Simulator
 
 
@@ -173,49 +169,6 @@ class TestMetricsRegistry:
         assert names == ["a", "a", "b"]
 
 
-class TestCallbackProfile:
-    def test_accumulates_and_sorts(self):
-        prof = CallbackProfile(lambda: 0.0)
-        prof.record("slow", 2.0)
-        prof.record("fast", 0.5)
-        prof.record("slow", 1.0)
-        assert prof.snapshot() == (("slow", 3.0, 2), ("fast", 0.5, 1))
-
-    def test_merge_and_format(self):
-        acc = {}
-        merge_rows(acc, (("a", 1.0, 2),))
-        merge_rows(acc, (("a", 0.5, 1), ("b", 3.0, 4)))
-        assert acc == {"a": (1.5, 3), "b": (3.0, 4)}
-        assert format_rows(acc) == "b 3.00s/4, a 1.50s/3"
-        assert format_rows(acc, top=1) == "b 3.00s/4"
-
-
-def _fake_clock():
-    """A deterministic monotonic 'clock' for profiled-loop tests."""
-    state = [0.0]
-
-    def tick():
-        state[0] += 1.0
-        return state[0]
-
-    return tick
-
-
-def _run_cascade(sim):
-    remaining = [200]
-
-    def tick():
-        if remaining[0] > 0:
-            remaining[0] -= 1
-            sim.call(0.001, tick)
-
-    for _ in range(4):
-        sim.call(0.0, tick)
-    handle = sim.schedule(0.05, _run_cascade)  # cancelled mid-flight
-    sim.call(0.01, handle.cancel)
-    sim.run(until=1.0)
-
-
 class TestEngineObsHooks:
     def test_scheduled_and_cancellation_counters(self):
         sim = Simulator()
@@ -225,26 +178,6 @@ class TestEngineObsHooks:
         assert sim.scheduled == 2
         assert sim.cancellations == 1
         sim.run()
-
-    def test_profiled_run_matches_unprofiled_exactly(self):
-        plain = Simulator()
-        _run_cascade(plain)
-
-        profiled = Simulator()
-        profile = CallbackProfile(_fake_clock())
-        profiled.enable_profiling(profile)
-        assert profiled.profile is profile
-        _run_cascade(profiled)
-
-        assert profiled.now == plain.now
-        assert profiled.events_processed == plain.events_processed
-        assert profiled.scheduled == plain.scheduled
-        assert profiled.cancellations == plain.cancellations
-        total_calls = sum(calls for _, _, calls in profile.snapshot())
-        assert total_calls == profiled.events_processed
-        # Each fake-clock call pair charges exactly 1.0s per dispatch.
-        total_seconds = sum(s for _, s, _ in profile.snapshot())
-        assert total_seconds == pytest.approx(profiled.events_processed)
 
     def test_trace_sink_sees_compactions(self):
         class Sink:

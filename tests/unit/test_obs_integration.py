@@ -2,8 +2,7 @@
 
 The load-bearing guarantees: a traced run's JSONL is byte-identical
 serial vs ``jobs=4``; tracing/metrics never perturb the simulation
-results; profiles ride progress events (never cached results); and the
-obs config is part of a run's cache identity.
+results; and the obs config is part of a run's cache identity.
 """
 
 from dataclasses import replace
@@ -18,7 +17,7 @@ from repro.core.design import (
 )
 from repro.experiments import cache, parallel
 from repro.experiments.runner import ScenarioConfig, run_scenario
-from repro.obs import CallbackProfile, ObsConfig, parse_lines
+from repro.obs import ObsConfig, parse_lines
 from repro.units import mbps
 
 FAST = dict(duration=60.0, warmup=20.0, lifetime_mean=20.0,
@@ -100,55 +99,3 @@ class TestTracedRuns:
         assert cache.run_key(plain, DESIGN) != cache.run_key(traced, DESIGN)
         assert (cache.run_key(traced, DESIGN)
                 != cache.run_key(replace(traced, obs=ObsConfig()), DESIGN))
-
-
-class TestProfiledRuns:
-    def test_profiled_scenario_equals_unprofiled(self):
-        ticks = [0.0]
-
-        def fake_clock():
-            ticks[0] += 1.0
-            return ticks[0]
-
-        plain = run_scenario(fast_config(), DESIGN)
-        profile = CallbackProfile(fake_clock)
-        profiled = run_scenario(fast_config(), DESIGN, profile=profile)
-        assert profiled == plain
-        assert profile.snapshot(), "profile must have accumulated rows"
-
-    def test_profile_rides_progress_events_when_enabled(self):
-        events = []
-        parallel.set_profile(True)
-        try:
-            parallel.run_many([(fast_config(), DESIGN)], jobs=1,
-                              progress=events.append)
-        finally:
-            parallel.set_profile(False)
-        (event,) = [e for e in events if e.source == "run"]
-        assert event.profile, "run event must carry profile rows"
-        keys = {key for key, _s, _c in event.profile}
-        assert any("tx_done" in key or "OutputPort" in key for key in keys)
-
-    def test_no_profile_rows_when_disabled(self):
-        events = []
-        parallel.run_many([(fast_config(), DESIGN)], jobs=1,
-                          progress=events.append)
-        (event,) = [e for e in events if e.source == "run"]
-        assert event.profile == ()
-
-    def test_tracker_aggregates_and_summarizes_profiles(self):
-        tracker = parallel.ProgressTracker()
-        parallel.set_profile(True)
-        try:
-            parallel.run_many([(fast_config(), DESIGN)], jobs=1,
-                              progress=tracker)
-        finally:
-            parallel.set_profile(False)
-        assert tracker.profile
-        assert "profile (top callbacks):" in tracker.summary()
-
-    def test_summary_has_no_profile_line_when_disabled(self):
-        tracker = parallel.ProgressTracker()
-        parallel.run_many([(fast_config(), DESIGN)], jobs=1,
-                          progress=tracker)
-        assert "profile" not in tracker.summary()
